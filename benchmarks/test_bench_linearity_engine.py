@@ -10,9 +10,15 @@ vectorized numpy.  The engine must be at least 10x faster end to end with
 transfer-curve agreement tighter than 1e-6 ps and identical locked tap
 counts.
 
+The same bench gates the conventional ensemble lock's memory: its
+``tracemalloc`` peak on a 1000-instance 50 MHz / 6-bit slow-corner ensemble
+must stay within three times the variation batch itself, which rules out any
+``(instances, steps, cells)`` intermediate.
+
 When ``BENCH_LINEARITY_ENGINE_JSON`` is set, the measured throughput
-(instances/second for both paths) is written there so CI can archive the perf
-trajectory (the ``BENCH_linearity_engine.json`` artifact).
+(instances/second for both paths) and the lock's memory peak are written
+there so CI can archive the perf trajectory (the
+``BENCH_linearity_engine.json`` artifact).
 """
 
 from __future__ import annotations
@@ -20,12 +26,14 @@ from __future__ import annotations
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.core.design import DesignSpec, design_proposed
 from repro.core.ensemble import ProposedEnsemble
 from repro.core.proposed import ProposedController
+from repro.pipeline import fabricate_ensemble
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import VariationModel
@@ -38,6 +46,11 @@ VARIATION = VariationModel(random_sigma=0.04, gradient_peak=0.015, seed=2012)
 LIBRARY = intel32_like_library()
 DESIGN = design_proposed(SPEC, LIBRARY)
 CONFIG = DESIGN.build_line(library=LIBRARY).config
+
+#: The conventional lock's memory workload (the fig50_51_mc slow-corner cell).
+LOCK_MEMORY_SPEC = DesignSpec(clock_frequency_mhz=50.0, resolution_bits=6)
+#: Allowed lock peak, in multiples of the variation batch's own bytes.
+LOCK_MEMORY_FACTOR = 3.0
 
 
 def _run_batch():
@@ -72,6 +85,20 @@ def _run_scalar_sweep():
     return tap_sels, delays
 
 
+def _conventional_lock_peak() -> tuple[int, int]:
+    """``tracemalloc`` peak of one conventional lock, and the batch's bytes."""
+    ensemble = fabricate_ensemble(
+        "conventional", LOCK_MEMORY_SPEC, VARIATION, NUM_INSTANCES, library=LIBRARY
+    )
+    tracemalloc.start()
+    try:
+        ensemble.lock(OperatingConditions.slow())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, ensemble.batch.multipliers.nbytes
+
+
 def test_bench_linearity_engine_speedup_and_agreement(benchmark, bench_provenance):
     # Reference: the seed per-instance loop, timed once (it is the slow side;
     # timing it through the benchmark fixture would dominate the suite).
@@ -84,6 +111,7 @@ def test_bench_linearity_engine_speedup_and_agreement(benchmark, bench_provenanc
 
     worst_disagreement = np.max(np.abs(curves.delays_ps - scalar_delays))
     speedup = scalar_seconds / batch_seconds
+    lock_peak_bytes, batch_bytes = _conventional_lock_peak()
 
     # Archive the measurements *before* the gates: a perf regression is
     # exactly the run whose numbers must survive for diagnosis.
@@ -101,6 +129,8 @@ def test_bench_linearity_engine_speedup_and_agreement(benchmark, bench_provenanc
                     "batch_instances_per_sec": NUM_INSTANCES / batch_seconds,
                     "speedup": speedup,
                     "worst_disagreement_ps": float(worst_disagreement),
+                    "conventional_lock_peak_bytes": lock_peak_bytes,
+                    "conventional_batch_bytes": batch_bytes,
                     "provenance": bench_provenance,
                 },
                 handle,
@@ -118,3 +148,7 @@ def test_bench_linearity_engine_speedup_and_agreement(benchmark, bench_provenanc
     np.testing.assert_array_equal(calibration.control_state, scalar_tap_sels)
     # The sweep itself is sane: every instance locks at the typical corner.
     assert bool(calibration.locked.all())
+    assert lock_peak_bytes <= LOCK_MEMORY_FACTOR * batch_bytes, (
+        f"conventional lock peaked at {lock_peak_bytes / 1e6:.1f} MB, over "
+        f"{LOCK_MEMORY_FACTOR:g}x its {batch_bytes / 1e6:.1f} MB variation batch"
+    )

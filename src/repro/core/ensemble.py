@@ -7,8 +7,8 @@ one lock cycle at a time.  This module answers it for whole ensembles: a
 :class:`DelayLineEnsemble` holds a stack of variation samples (one fabricated
 instance per slice) and computes per-cell delay matrices, cumulative tap
 delays, calibration locks and full ``(instances, words)`` transfer-curve
-matrices in vectorized numpy, with no per-word, per-cell or per-instance
-Python loops.
+matrices in vectorized numpy, with no per-word or per-instance Python loops
+(the conventional lock's one per-cell loop is over whole-ensemble vectors).
 
 Batch calibration is **closed-form**, not simulated:
 
@@ -27,17 +27,24 @@ Batch calibration is **closed-form**, not simulated:
   tuning level one step per update and stops at the first step whose total
   line delay reaches the clock period.  The tuning-level *schedule* (which
   cell is at which level after ``s`` steps) depends only on the
-  configuration, so the ensemble evaluates the total delay of every
-  ``(instance, step)`` pair with one gather into per-buffer prefix sums and
-  finds each instance's first crossing with an argmax -- the exact step the
-  scalar :class:`ShiftRegisterController` halts on, including the
+  configuration, and a cell's delay depends only on its own level.  The
+  ensemble therefore evaluates a per-level delay table --
+  ``(instances, branches, cells)``, one kernel call -- and accumulates the
+  scheduled delays into an ``(steps + 1, instances)`` total one cell at a
+  time, left to right, stopping one cell short for the ``last_but_one``
+  sum the lock-validity check needs.  An argmax then finds each instance's
+  first crossing -- the exact step the scalar
+  :class:`ShiftRegisterController` halts on, including the
   saturated-at-maximum (``up_limit``) and already-over-long edge cases.
 
 Both locks and the transfer curves are bit-identical to the scalar paths
-because they share the same accumulation order (cumulative sums along the
-same axes); ``tests/test_core_ensemble.py`` asserts the equivalence
-property-based, and ``benchmarks/test_bench_linearity_engine.py`` gates the
-speedup.
+because they perform the same additions in the same order: the per-level
+table holds the very prefix-sum values the scalar line gathers, and the
+cell-ordered accumulation repeats the scalar cumulative tap sum's
+left-to-right additions.  ``tests/test_core_ensemble.py`` asserts the
+equivalence exactly and property-based, and
+``benchmarks/test_bench_linearity_engine.py`` gates the speedup and the
+conventional lock's memory peak.
 
 Example -- fabricate four post-APR instances of the designed 100 MHz
 proposed line, lock them closed-form at the slow corner and extract every
@@ -534,28 +541,33 @@ class ConventionalEnsemble(DelayLineEnsemble):
         period = config.clock_period_ps
         unit = self.unit_delay_ps(conditions)
         schedule = self.levels_schedule()  # (steps + 1, cells)
-        buffers_active = (schedule + 1) * config.buffers_per_element
+        # A cell's delay depends only on its own tuning level, so one kernel
+        # call evaluates a per-level table, ``(instances, branches, cells)``,
+        # whose entries are the prefix-sum values the scalar line gathers.
+        level_active = (np.arange(config.branches) + 1) * config.buffers_per_element
+        buffers_active = np.broadcast_to(
+            level_active[:, np.newaxis], (config.branches, config.num_cells)
+        )
         if self.batch is None:
-            cell_delays = buffers_active.astype(float) * unit
-            step_taps = np.cumsum(cell_delays, axis=1, out=cell_delays)
-            step_taps = np.broadcast_to(
-                step_taps, (self.num_instances, *step_taps.shape)
-            )
+            table = (buffers_active * unit)[np.newaxis]
         else:
-            # One gather evaluates every (instance, step, cell) delay from
-            # the per-buffer prefix sums (leading axes broadcast: instances
-            # against the shared step schedule); the in-place cumulative sum
-            # along the cell axis then reproduces the scalar tap accumulation
-            # order bit-exactly without a second (instances, steps, cells)
-            # allocation.
-            cell_delays = self.kernels.active_branch_delays(
-                self.batch.multipliers[:, np.newaxis],
-                buffers_active[np.newaxis],
-                unit,
+            table = self.kernels.active_branch_delays(
+                self.batch.multipliers[:, np.newaxis], buffers_active[np.newaxis], unit
             )
-            step_taps = np.cumsum(cell_delays, axis=2, out=cell_delays)
-        totals = step_taps[..., -1]  # (instances, steps + 1)
-        last_but_one = step_taps[..., -2]
+        by_cell = np.ascontiguousarray(table.transpose(2, 1, 0))
+        # Adding each step's scheduled cell delays one cell at a time, left
+        # to right, repeats the additions of the scalar cumulative tap sum
+        # in the same order, so both sums are bit-identical to the scalar
+        # line's taps without materializing an (instances, steps, cells)
+        # array; ``last_but_one`` is the sum one cell short of the total.
+        acc = by_cell[0][schedule[:, 0]]  # (steps + 1, instances)
+        for cell in range(1, config.num_cells - 1):
+            acc += by_cell[cell][schedule[:, cell]]
+        totals = acc + by_cell[-1][schedule[:, -1]]
+        # Contiguous (instances, steps + 1) rows for the crossing search.
+        shape = (self.num_instances, schedule.shape[0])
+        totals = np.ascontiguousarray(np.broadcast_to(totals.T, shape))
+        last_but_one = np.ascontiguousarray(np.broadcast_to(acc.T, shape))
         # The controller halts at the first step whose total reaches the
         # period; when none does it saturates at the maximum step (up_limit).
         steps, locked, total_at_stop = self.kernels.conventional_crossing(

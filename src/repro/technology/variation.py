@@ -192,13 +192,6 @@ class BatchVariationSample:
         """The scalar variation sample of one instance of the ensemble."""
         return VariationSample(multipliers=self.multipliers[index])
 
-    @classmethod
-    def from_samples(cls, samples: list[VariationSample]) -> "BatchVariationSample":
-        """Stack scalar samples (all of the same shape) into a batch."""
-        if not samples:
-            raise ValueError("need at least one sample")
-        return cls(multipliers=np.stack([sample.multipliers for sample in samples]))
-
 
 @dataclass
 class VariationModel:
@@ -243,22 +236,8 @@ class VariationModel:
         Returns:
             a :class:`VariationSample` with strictly positive multipliers.
         """
-        if num_cells <= 0:
-            raise ValueError("num_cells must be positive")
-        if buffers_per_cell <= 0:
-            raise ValueError("buffers_per_cell must be positive")
-        rng = np.random.default_rng((self.seed, instance))
-        random_part = rng.normal(
-            loc=0.0,
-            scale=self.random_sigma,
-            size=(num_cells, buffers_per_cell),
-        )
-        gradient = self._placement_gradient(num_cells)
-        multipliers = 1.0 + random_part + gradient[:, np.newaxis]
-        # Delays cannot be negative or zero; clip far in the tail (beyond
-        # 5 sigma for the default settings) to keep the model physical.
-        np.clip(multipliers, 0.2, None, out=multipliers)
-        return VariationSample(multipliers=multipliers)
+        multipliers, _ = self._draw(1, num_cells, buffers_per_cell, instance)
+        return VariationSample(multipliers=multipliers[0])
 
     def sample_tilted(
         self,
@@ -297,26 +276,10 @@ class VariationModel:
         Returns:
             ``(sample, log_likelihood_ratio)``.
         """
-        if num_cells <= 0:
-            raise ValueError("num_cells must be positive")
-        if buffers_per_cell <= 0:
-            raise ValueError("buffers_per_cell must be positive")
-        if sigma_scale <= 0.0:
-            raise ValueError(f"sigma_scale must be positive; got {sigma_scale}")
-        rng = np.random.default_rng((self.seed, instance))
-        z = rng.standard_normal(size=(num_cells, buffers_per_cell))
-        tilted = shift + sigma_scale * z
-        dimensions = num_cells * buffers_per_cell
-        log_lr = (
-            0.5 * float((z * z).sum())
-            - 0.5 * float((tilted * tilted).sum())
-            + dimensions * math.log(sigma_scale)
+        multipliers, log_lrs = self._draw(
+            1, num_cells, buffers_per_cell, instance, tilt=(shift, sigma_scale)
         )
-        random_part = self.random_sigma * tilted
-        gradient = self._placement_gradient(num_cells)
-        multipliers = 1.0 + random_part + gradient[:, np.newaxis]
-        np.clip(multipliers, 0.2, None, out=multipliers)
-        return VariationSample(multipliers=multipliers), log_lr
+        return VariationSample(multipliers=multipliers[0]), float(log_lrs[0])
 
     def sample_batch(
         self,
@@ -330,18 +293,15 @@ class VariationModel:
         Instance ``i`` of the batch is drawn from the same per-instance
         stream as ``sample(..., instance=first_instance + i)``, so the batch
         is bit-identical to stacking scalar samples -- the contract the
-        ensemble engine's batch-versus-scalar equivalence rests on.  (The
-        stacking loop is over RNG streams only; all delay computation on the
-        batch is vectorized.)
+        ensemble engine's batch-versus-scalar equivalence rests on.  The
+        draws land in one preallocated ``(instances, cells, buffers)`` block
+        (the per-instance loop only seeds the RNG streams; the mismatch
+        arithmetic runs once over the whole block).
         """
-        if num_instances < 1:
-            raise ValueError("need at least one instance")
-        return BatchVariationSample.from_samples(
-            [
-                self.sample(num_cells, buffers_per_cell, instance=first_instance + i)
-                for i in range(num_instances)
-            ]
+        multipliers, _ = self._draw(
+            num_instances, num_cells, buffers_per_cell, first_instance
         )
+        return BatchVariationSample(multipliers=multipliers)
 
     def sample_batch_tilted(
         self,
@@ -363,21 +323,70 @@ class VariationModel:
             ``(batch, log_likelihood_ratios)`` where the ratio array has
             shape ``(num_instances,)``.
         """
+        multipliers, log_lrs = self._draw(
+            num_instances,
+            num_cells,
+            buffers_per_cell,
+            first_instance,
+            tilt=(shift, sigma_scale),
+        )
+        return BatchVariationSample(multipliers=multipliers), log_lrs
+
+    def _draw(
+        self,
+        num_instances: int,
+        num_cells: int,
+        buffers_per_cell: int,
+        first_instance: int,
+        tilt: tuple[float, float] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one draw path behind every sampling entry point.
+
+        Instance ``i`` fills slice ``i`` of a preallocated standard-normal
+        block from its own ``(seed, first_instance + i)`` stream -- the
+        chunk-stable seeding contract -- and the mismatch arithmetic then
+        runs once over the whole block in the scalar operation order, so a
+        batch is bit-identical to stacking single-instance draws.  With a
+        ``(shift, sigma_scale)`` tilt the draw becomes
+        ``shift + sigma_scale * z`` and each instance's log-likelihood ratio
+        is summed from its own block; untilted draws get zero ratios.
+
+        Returns:
+            ``(multipliers, log_likelihood_ratios)`` of shapes
+            ``(instances, cells, buffers)`` and ``(instances,)``.
+        """
         if num_instances < 1:
             raise ValueError("need at least one instance")
-        samples: list[VariationSample] = []
-        log_lrs = np.empty(num_instances)
+        if num_cells <= 0:
+            raise ValueError("num_cells must be positive")
+        if buffers_per_cell <= 0:
+            raise ValueError("buffers_per_cell must be positive")
+        if tilt is not None and tilt[1] <= 0.0:
+            raise ValueError(f"sigma_scale must be positive; got {tilt[1]}")
+        block = np.empty((num_instances, num_cells, buffers_per_cell))
         for i in range(num_instances):
-            sample, log_lr = self.sample_tilted(
-                num_cells,
-                buffers_per_cell,
-                instance=first_instance + i,
-                shift=shift,
-                sigma_scale=sigma_scale,
-            )
-            samples.append(sample)
-            log_lrs[i] = log_lr
-        return BatchVariationSample.from_samples(samples), log_lrs
+            rng = np.random.default_rng((self.seed, first_instance + i))
+            rng.standard_normal(out=block[i])
+        log_lrs = np.zeros(num_instances)
+        if tilt is not None:
+            shift, sigma_scale = tilt
+            z = block
+            block = z * sigma_scale
+            block += shift
+            dimensions = num_cells * buffers_per_cell
+            for i in range(num_instances):
+                log_lrs[i] = (
+                    0.5 * float((z[i] * z[i]).sum())
+                    - 0.5 * float((block[i] * block[i]).sum())
+                    + dimensions * math.log(sigma_scale)
+                )
+        block *= self.random_sigma
+        block += 1.0
+        block += self._placement_gradient(num_cells)[:, np.newaxis]
+        # Delays cannot be negative or zero; clip far in the tail (beyond
+        # 5 sigma for the default settings) to keep the model physical.
+        np.clip(block, 0.2, None, out=block)
+        return block, log_lrs
 
     def _placement_gradient(self, num_cells: int) -> np.ndarray:
         """Systematic slow gradient along the placed line."""

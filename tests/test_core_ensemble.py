@@ -201,27 +201,31 @@ class TestConventionalEnsembleEquivalence:
             assert int(calibration.control_state[i]) == scalar.control_state
             assert bool(calibration.locked[i]) == scalar.locked
             assert int(calibration.lock_cycles[i]) == scalar.lock_cycles
-            assert calibration.locked_delay_ps[i] == pytest.approx(
-                scalar.locked_delay_ps, abs=1e-9
-            )
+            assert calibration.locked_delay_ps[i] == scalar.locked_delay_ps
             reference = scalar_conventional_curve(
                 line, scalar.control_state, conditions
             )
             assert np.max(np.abs(curves.delays_ps[i] - reference)) < 1e-6
 
     @settings(max_examples=10, deadline=None)
-    @given(period_scale=st.floats(min_value=0.05, max_value=10.0), seed=seeds)
-    def test_saturation_edges_match_scalar(self, period_scale, seed):
+    @given(
+        num_cells=st.sampled_from([2, 3, 8]),
+        order=st.sampled_from(list(TuningOrder)),
+        period_scale=st.floats(min_value=0.05, max_value=10.0),
+        seed=seeds,
+    )
+    def test_saturation_edges_match_scalar(self, num_cells, order, period_scale, seed):
         # Short periods make the line over-long from step 0 (the slow-corner
         # failure of paper fig37); long periods exhaust the shift register
         # (up_limit).  The batch first-crossing must stop exactly where the
-        # scalar controller does in both cases.
+        # scalar controller does in both cases -- down to the smallest line,
+        # where the stop sum without the last cell is cell 0 alone.
         config = ConventionalDelayLineConfig(
-            num_cells=8,
+            num_cells=num_cells,
             branches=3,
             buffers_per_element=2,
-            clock_period_ps=period_scale * 8 * 2 * 40.0,
-            tuning_order=TuningOrder.ROUND_ROBIN,
+            clock_period_ps=period_scale * num_cells * 2 * 40.0,
+            tuning_order=order,
         )
         model = VariationModel(random_sigma=0.08, gradient_peak=0.02, seed=seed)
         ensemble = ConventionalEnsemble.sample(config, 2, model, library=LIBRARY)
@@ -235,6 +239,7 @@ class TestConventionalEnsembleEquivalence:
             assert int(calibration.control_state[i]) == scalar.control_state
             assert bool(calibration.locked[i]) == scalar.locked
             assert int(calibration.lock_cycles[i]) == scalar.lock_cycles
+            assert calibration.locked_delay_ps[i] == scalar.locked_delay_ps
 
     def test_levels_schedule_matches_scalar_bookkeeping(self):
         config = ConventionalDelayLineConfig(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,27 @@ class TestVariationModel:
 
     @pytest.mark.parametrize("num_cells, buffers", [(0, 1), (4, 0), (-1, 2)])
     def test_invalid_shapes_rejected(self, num_cells, buffers):
-        with pytest.raises(ValueError):
-            VariationModel().sample(num_cells, buffers)
+        model = VariationModel()
+        draws = (
+            lambda: model.sample(num_cells, buffers),
+            lambda: model.sample_batch(3, num_cells, buffers),
+            lambda: model.sample_batch_tilted(3, num_cells, buffers, shift=0.5),
+        )
+        for draw in draws:
+            with pytest.raises(ValueError, match="must be positive"):
+                draw()
+
+    def test_invalid_batch_draw_arguments_rejected(self):
+        model = VariationModel()
+        with pytest.raises(ValueError, match="at least one instance"):
+            model.sample_batch(0, 4, 2)
+        with pytest.raises(ValueError, match="at least one instance"):
+            model.sample_batch_tilted(0, 4, 2, shift=0.5)
+        for sigma_scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma_scale"):
+                model.sample_tilted(4, 2, sigma_scale=sigma_scale)
+            with pytest.raises(ValueError, match="sigma_scale"):
+                model.sample_batch_tilted(3, 4, 2, sigma_scale=sigma_scale)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -89,3 +110,30 @@ class TestVariationSample:
         multipliers = np.array([[1.0, 1.0], [0.5, 1.5]])
         sample = VariationSample(multipliers=multipliers)
         assert np.allclose(sample.cell_delays_ps(10.0), [20.0, 20.0])
+
+
+class TestDrawStreamPins:
+    """Byte pins of the silicon draw streams.
+
+    The batch-versus-scalar tests only prove the batch draws agree with the
+    scalar ones; a change to the shared draw path would move both together.
+    These digests freeze the streams themselves (float64, C order).
+    """
+
+    def test_sample_batch_stream_is_pinned(self):
+        batch = VariationModel(seed=19).sample_batch(16, 8, 3, first_instance=5)
+        digest = hashlib.sha256(batch.multipliers.tobytes()).hexdigest()
+        assert digest == (
+            "2db1795e7543ea7f87d53723676a0d8d76e3791d82a33a3d17dfb987e706d1b1"
+        )
+
+    def test_sample_batch_tilted_stream_is_pinned(self):
+        batch, log_lrs = VariationModel(seed=19).sample_batch_tilted(
+            16, 8, 2, first_instance=5, shift=0.9, sigma_scale=1.2
+        )
+        digest = hashlib.sha256()
+        digest.update(batch.multipliers.tobytes())
+        digest.update(log_lrs.tobytes())
+        assert digest.hexdigest() == (
+            "f9802f31d4019d204384c121ee577f4de903a47b8f8ebf832c4b205c99df8543"
+        )
