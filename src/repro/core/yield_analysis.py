@@ -96,6 +96,7 @@ from repro.core.design import DesignSpec
 from repro.technology.cells import CellKind
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import TechnologyLibrary, intel32_like_library
+from repro.technology.streams import instance_streams
 from repro.technology.thermal import TemperatureTrace, ThermalDerating
 from repro.technology.variation import CorrelatedVariationModel, VariationModel
 
@@ -605,9 +606,10 @@ class ComponentVariation:
 
         One standard-normal row per axis is drawn in the canonical axis
         order, the Cholesky factor mixes them, and the per-axis transforms
-        of :meth:`_transform_draws` apply columnwise (vectorized over the
-        fleet).  Marginals match the IID draw's distributions exactly; the
-        joint picks up the declared correlations.
+        (log-normal passives, clipped relative-normal resistances) apply
+        columnwise, vectorized over the fleet.  Marginals match the IID
+        draw's distributions exactly; the joint picks up the declared
+        correlations.
         """
         if correlation.dimension != len(_COMPONENT_AXES):
             raise ValueError(
@@ -667,18 +669,8 @@ class ComponentVariation:
             return self._sample_instances_correlated(
                 nominal, num_variants, first_instance, correlation
             )
-        draws = np.empty((num_variants, 5))
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _COMPONENT_STREAM_TAG, first_instance + row)
-            )
-            draws[row, 0] = rng.lognormal(mean=0.0, sigma=self.input_voltage_sigma)
-            draws[row, 1] = rng.lognormal(mean=0.0, sigma=self.inductance_sigma)
-            draws[row, 2] = rng.lognormal(mean=0.0, sigma=self.capacitance_sigma)
-            draws[row, 3] = rng.normal(loc=1.0, scale=self.resistance_sigma)
-            draws[row, 4] = rng.normal(loc=1.0, scale=self.resistance_sigma)
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
+        z = self._z_block(num_variants, first_instance)
+        return self._parameters_from_draws(nominal, self._spreads_from_z(z))
 
     def _sample_instances_correlated(
         self,
@@ -700,16 +692,12 @@ class ComponentVariation:
                 f"component draws span {len(_COMPONENT_AXES)} "
                 f"({', '.join(_COMPONENT_AXES)})"
             )
-        dimensions = len(_COMPONENT_AXES)
-        draws = np.empty((num_variants, dimensions))
+        z = self._z_block(num_variants, first_instance)
+        # Row by row: one matrix-vector product per instance keeps the
+        # summation order of the per-instance draw.
         for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _COMPONENT_STREAM_TAG, first_instance + row)
-            )
-            z = rng.standard_normal(dimensions)
-            draws[row] = self._transform_draws(correlation.correlate(z))
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
+            z[row] = correlation.correlate(z[row])
+        return self._parameters_from_draws(nominal, self._spreads_from_z(z))
 
     def sample_instances_tilted(
         self,
@@ -740,25 +728,24 @@ class ComponentVariation:
         """
         if num_variants < 1:
             raise ValueError("need at least one variant")
-        shifts = tilt.shifts()
         scale = tilt.sigma_scale
-        dimensions = len(_COMPONENT_AXES)
-        draws = np.empty((num_variants, dimensions))
-        log_weights = np.empty(num_variants)
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _COMPONENT_STREAM_TAG, first_instance + row)
-            )
-            z = rng.standard_normal(dimensions)
-            tilted = shifts + scale * z
-            log_weights[row] = (
-                0.5 * float(z @ z)
-                - 0.5 * float(tilted @ tilted)
-                + dimensions * math.log(scale)
-            )
-            draws[row] = self._transform_draws(tilted)
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws), log_weights
+        z = self._z_block(num_variants, first_instance)
+        tilted = tilt.shifts() + scale * z
+        log_scale = len(_COMPONENT_AXES) * math.log(scale)
+        # Row by row: one BLAS dot per instance keeps the summation order
+        # of the per-instance draw, which a reduction over the block may not.
+        log_weights = np.array(
+            [
+                0.5 * float(z_row.dot(z_row))
+                - 0.5 * float(tilted_row.dot(tilted_row))
+                + log_scale
+                for z_row, tilted_row in zip(z, tilted)
+            ]
+        )
+        return (
+            self._parameters_from_draws(nominal, self._spreads_from_z(tilted)),
+            log_weights,
+        )
 
     def sample_instances_stratum(
         self,
@@ -789,39 +776,61 @@ class ComponentVariation:
         lower_z, upper_z = stratification.bounds(stratum)
         cdf_lower = normal_cdf(lower_z)
         cdf_upper = normal_cdf(upper_z)
-        dimensions = len(_COMPONENT_AXES)
-        draws = np.empty((num_variants, dimensions))
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _STRATUM_STREAM_TAG, stratum, first_instance + row)
-            )
-            z = rng.standard_normal(dimensions)
+        z = np.empty((num_variants, len(_COMPONENT_AXES)))
+        streams = instance_streams(
+            (self.seed, _STRATUM_STREAM_TAG, stratum), first_instance, num_variants
+        )
+        for row, rng in enumerate(streams):
+            rng.standard_normal(out=z[row])
             # The truncated axis maps a fresh uniform into the shell's CDF
             # mass; the clamp keeps normal_ppf away from its open-interval
             # poles when a boundary sits far in the tail.
             quantile = cdf_lower + rng.random() * (cdf_upper - cdf_lower)
             quantile = min(max(quantile, 1e-12), 1.0 - 1e-12)
-            z[axis] = normal_ppf(quantile)
-            draws[row] = self._transform_draws(z)
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
+            z[row, axis] = normal_ppf(quantile)
+        return self._parameters_from_draws(nominal, self._spreads_from_z(z))
 
-    def _transform_draws(self, z: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        """Map one instance's five z-space draws to relative spreads.
+    def _z_block(
+        self, num_variants: int, first_instance: int
+    ) -> npt.NDArray[np.float64]:
+        """The ``(variants, 5)`` standard-normal block of the component streams.
 
-        Matches :meth:`sample_instances` exactly: log-normal for the
-        passives and the input rail, relative normal for the resistances
-        (clipping happens on the assembled matrix, as there).
+        Row ``i`` holds instance ``first_instance + i``'s five draws from
+        its own ``(seed, stream tag, first_instance + i)`` stream, in
+        :data:`_COMPONENT_AXES` order; the whole chunk's streams are seeded
+        in one pass by :func:`~repro.technology.streams.instance_streams`.
         """
-        return np.array(
-            [
-                math.exp(self.input_voltage_sigma * z[0]),
-                math.exp(self.inductance_sigma * z[1]),
-                math.exp(self.capacitance_sigma * z[2]),
-                1.0 + self.resistance_sigma * z[3],
-                1.0 + self.resistance_sigma * z[4],
-            ]
+        z = np.empty((num_variants, len(_COMPONENT_AXES)))
+        streams = instance_streams(
+            (self.seed, _COMPONENT_STREAM_TAG), first_instance, num_variants
         )
+        for row, rng in enumerate(streams):
+            rng.standard_normal(out=z[row])
+        return z
+
+    def _spreads_from_z(self, z: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+        """Map a ``(variants, 5)`` z-space block to relative spreads.
+
+        Log-normal for the input rail and the passives, relative normal
+        clipped at zero for the two resistances -- value for value what
+        ``Generator.lognormal`` / ``Generator.normal`` return for the same
+        standard normals.  The exponentials go through ``math.exp``, the
+        C library ``exp`` that NumPy's ``lognormal`` calls: the SIMD
+        ``np.exp`` rounds differently in the last bit for a few percent
+        of inputs on some CPUs, which would move every pinned draw.
+        """
+        draws = np.empty_like(z)
+        sigmas = (
+            self.input_voltage_sigma,
+            self.inductance_sigma,
+            self.capacitance_sigma,
+        )
+        for column, sigma in enumerate(sigmas):
+            exponents = (sigma * z[:, column]).tolist()
+            draws[:, column] = [math.exp(value) for value in exponents]
+        draws[:, 3:] = 1.0 + self.resistance_sigma * z[:, 3:]
+        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
+        return draws
 
     def _parameters_from_draws(
         self, nominal: BuckParameters, draws: npt.NDArray[np.float64]

@@ -9,7 +9,14 @@ function drawing per-instance randomness derives instance ``i``'s RNG from
 
     rng = np.random.default_rng((self.seed, instance))          # OK
     rng = np.random.default_rng((seed, tag, first_instance + i))  # OK
+    streams = instance_streams((seed, tag), first_instance, n)  # OK
     rng = np.random.default_rng(self.seed)                      # VIOLATION
+    streams = instance_streams((seed, tag), 0, n)               # VIOLATION
+
+The chunk-seeding helpers of :mod:`repro.technology.streams` count as
+constructors: they key each stream on ``first_instance + k``, so their
+arguments must mention the function's instance parameter just like a
+NumPy constructor's seed.
 
 The rule fires when a function that declares an instance-index parameter
 (``instance`` / ``first_instance`` / ``instance_index``) constructs a
@@ -38,6 +45,8 @@ _CONSTRUCTORS = {
     "numpy.random.RandomState",
     "numpy.random.SeedSequence",
     "random.Random",
+    "repro.technology.streams.instance_states",
+    "repro.technology.streams.instance_streams",
 }
 
 

@@ -15,6 +15,8 @@ package provides a behavioural substitute:
 * :mod:`repro.technology.variation` -- systematic + random per-instance
   mismatch and placement gradients used for post-APR linearity analysis,
   plus the Cholesky-based correlated component-variation model.
+* :mod:`repro.technology.streams` -- chunk-seeded per-instance RNG streams,
+  bit-identical to one ``default_rng((*key, i))`` per instance.
 * :mod:`repro.technology.thermal` -- mission-scale temperature traces and
   first-order electrical derating for temperature-drift Monte-Carlo.
 * :mod:`repro.technology.netlist` -- structural netlists (cell-count views of a

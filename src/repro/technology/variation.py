@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.technology.streams import instance_streams
+
 __all__ = [
     "BatchVariationSample",
     "CorrelatedVariationModel",
@@ -295,7 +297,7 @@ class VariationModel:
         is bit-identical to stacking scalar samples -- the contract the
         ensemble engine's batch-versus-scalar equivalence rests on.  The
         draws land in one preallocated ``(instances, cells, buffers)`` block
-        (the per-instance loop only seeds the RNG streams; the mismatch
+        (the chunk's streams are seeded in one vectorized pass; the mismatch
         arithmetic runs once over the whole block).
         """
         multipliers, _ = self._draw(
@@ -344,7 +346,9 @@ class VariationModel:
 
         Instance ``i`` fills slice ``i`` of a preallocated standard-normal
         block from its own ``(seed, first_instance + i)`` stream -- the
-        chunk-stable seeding contract -- and the mismatch arithmetic then
+        chunk-stable seeding contract, with every stream of the chunk seeded
+        at once by :func:`~repro.technology.streams.instance_streams` --
+        and the mismatch arithmetic then
         runs once over the whole block in the scalar operation order, so a
         batch is bit-identical to stacking single-instance draws.  With a
         ``(shift, sigma_scale)`` tilt the draw becomes
@@ -364,8 +368,8 @@ class VariationModel:
         if tilt is not None and tilt[1] <= 0.0:
             raise ValueError(f"sigma_scale must be positive; got {tilt[1]}")
         block = np.empty((num_instances, num_cells, buffers_per_cell))
-        for i in range(num_instances):
-            rng = np.random.default_rng((self.seed, first_instance + i))
+        streams = instance_streams((self.seed,), first_instance, num_instances)
+        for i, rng in enumerate(streams):
             rng.standard_normal(out=block[i])
         log_lrs = np.zeros(num_instances)
         if tilt is not None:

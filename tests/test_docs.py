@@ -26,6 +26,7 @@ import repro.core.yield_analysis
 import repro.mc
 import repro.pipeline
 import repro.simulation.batch
+import repro.technology.streams
 from repro.lint.rules import drift
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +39,7 @@ DOCTEST_MODULES = [
     repro.core.yield_analysis,
     repro.pipeline,
     repro.mc,
+    repro.technology.streams,
 ]
 
 

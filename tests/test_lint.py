@@ -137,6 +137,22 @@ SEEDING_OK_ARITHMETIC = """
         return rng.normal(size=count)
 """
 
+SEEDING_STREAMS_OK = """
+    from repro.technology.streams import instance_streams
+
+    def sample_batch(seed, first_instance, count):
+        return [
+            rng.normal() for rng in instance_streams((seed, 7), first_instance, count)
+        ]
+"""
+
+SEEDING_STREAMS_VIOLATION = """
+    from repro.technology import streams
+
+    def sample_batch(seed, first_instance, count):
+        return [rng.normal() for rng in streams.instance_streams((seed, 7), 0, count)]
+"""
+
 SEEDING_NO_INSTANCE_PARAM = """
     import numpy as np
 
@@ -155,6 +171,13 @@ def test_seeding_contract_flags_index_free_seed():
 def test_seeding_contract_accepts_index_keyed_seed():
     assert lint_src(SEEDING_OK) == []
     assert lint_src(SEEDING_OK_ARITHMETIC) == []
+
+
+def test_seeding_contract_binds_the_chunk_stream_helper():
+    assert lint_src(SEEDING_STREAMS_OK) == []
+    violations = lint_src(SEEDING_STREAMS_VIOLATION)
+    assert rules_fired(violations) == {"seeding-contract"}
+    assert "first_instance" in violations[0].message
 
 
 def test_seeding_contract_ignores_functions_without_instance_param():

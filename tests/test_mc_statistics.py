@@ -782,6 +782,7 @@ NEW_MODULES = [
     "src/repro/mc.py",
     "src/repro/core/yield_analysis.py",
     "src/repro/technology/variation.py",
+    "src/repro/technology/streams.py",
     "src/repro/technology/thermal.py",
     "src/repro/converter/missions.py",
     "src/repro/pipeline.py",
