@@ -103,7 +103,12 @@ from repro.technology.variation import CorrelatedVariationModel, VariationModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
     from repro.analysis.metrics import BatchLinearityMetrics
     from repro.core.ensemble import EnsembleCalibration, EnsembleTransferCurves
-    from repro.mc import AdaptiveSampleResult
+    from repro.mc import (
+        AdaptiveSampleResult,
+        ImportanceSampleResult,
+        SampleChunk,
+        StratifiedSampleResult,
+    )
     from repro.pipeline import PipelineResult
     from repro.simulation.batch import (
         BatchBuckParameters,
@@ -1282,10 +1287,34 @@ class AdaptiveYieldResult:
         return 0.5 * (self.upper - self.lower)
 
 
-def _adaptive_result(
-    scheme: str | None, sample_result: "AdaptiveSampleResult", primary: str
+def _adaptive_yield(
+    scheme: str | None,
+    draw: "Callable[[int, int], SampleChunk]",
+    primary: str,
+    precision: float,
+    confidence: float,
+    max_instances: int,
+    chunk_size: int,
+    min_instances: int | None,
+    method: str,
 ) -> AdaptiveYieldResult:
-    """Fold an :class:`repro.mc.AdaptiveSampleResult` into the domain shape."""
+    """Run :func:`repro.mc.adaptive_sample` and fold it into the domain shape.
+
+    The sampling arguments follow the order of the ``adaptive_*_yield``
+    signatures, which pass them straight through.
+    """
+    from repro.mc import adaptive_sample
+
+    sample_result = adaptive_sample(
+        draw,
+        primary=primary,
+        precision=precision,
+        confidence=confidence,
+        max_samples=max_instances,
+        chunk_size=chunk_size,
+        min_samples=min_instances,
+        method=method,
+    )
     interval = sample_result.intervals[primary]
     return AdaptiveYieldResult(
         scheme=scheme,
@@ -1339,7 +1368,7 @@ def adaptive_linearity_yield(
     so the sample stream -- and therefore the estimate -- is independent of
     the chunk size.
     """
-    from repro.mc import SampleChunk, adaptive_sample
+    from repro.mc import SampleChunk
     from repro.pipeline import ChunkedFabricator
 
     resolved_spec = LinearitySpec(
@@ -1375,17 +1404,10 @@ def adaptive_linearity_yield(
             },
         )
 
-    sample_result = adaptive_sample(
-        draw,
-        primary="linearity",
-        precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-        min_samples=min_instances,
-        method=method,
+    return _adaptive_yield(
+        scheme, draw, "linearity",
+        precision, confidence, max_instances, chunk_size, min_instances, method,
     )
-    return _adaptive_result(scheme, sample_result, "linearity")
 
 
 def adaptive_closed_loop_yield(
@@ -1421,7 +1443,7 @@ def adaptive_closed_loop_yield(
     so the population differs from the fixed-N :func:`closed_loop_yield`
     draw -- by design; each path is internally reproducible.
     """
-    from repro.mc import SampleChunk, adaptive_sample
+    from repro.mc import SampleChunk
     from repro.pipeline import ChunkedSiliconToRegulation
 
     resolved_linearity = linearity_spec or LinearitySpec()
@@ -1465,17 +1487,10 @@ def adaptive_closed_loop_yield(
             },
         )
 
-    sample_result = adaptive_sample(
-        draw,
-        primary="closed_loop",
-        precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-        min_samples=min_instances,
-        method=method,
+    return _adaptive_yield(
+        runner.scheme, draw, "closed_loop",
+        precision, confidence, max_instances, chunk_size, min_instances, method,
     )
-    return _adaptive_result(runner.scheme, sample_result, "closed_loop")
 
 
 def adaptive_regulation_yield(
@@ -1501,7 +1516,7 @@ def adaptive_regulation_yield(
     :class:`RegulationSpec`, until the interval on the regulation yield is
     tight enough or the cap runs out.
     """
-    from repro.mc import SampleChunk, adaptive_sample
+    from repro.mc import SampleChunk
     from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
 
     spec = RegulationSpec(tolerance_v=tolerance_v)
@@ -1529,17 +1544,10 @@ def adaptive_regulation_yield(
             },
         )
 
-    sample_result = adaptive_sample(
-        draw,
-        primary="regulation",
-        precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-        min_samples=min_instances,
-        method=method,
+    return _adaptive_yield(
+        None, draw, "regulation",
+        precision, confidence, max_instances, chunk_size, min_instances, method,
     )
-    return _adaptive_result(None, sample_result, "regulation")
 
 
 @dataclass(frozen=True)
@@ -1741,7 +1749,11 @@ def rare_event_regulation_yield(
         dips = outputs[settle_periods:].min(axis=0)
         return dips < dip_limit_v, dips
 
+    run: "AdaptiveSampleResult | ImportanceSampleResult | StratifiedSampleResult"
+    effective_sample_size: float | None = None
+    strata_rows: tuple[dict[str, float | int | str], ...] | None = None
     if estimator == "vanilla":
+
         def draw_vanilla(first_instance: int, count: int) -> SampleChunk:
             parameters = resolved_variation.sample_instances(
                 nominal, count, first_instance=first_instance
@@ -1749,7 +1761,7 @@ def rare_event_regulation_yield(
             fails, dips = simulate(parameters, count)
             return SampleChunk(passes={"failure": fails}, values={"dip_v": dips})
 
-        vanilla = adaptive_sample(
+        run = adaptive_sample(
             draw_vanilla,
             primary="failure",
             precision=precision,
@@ -1757,23 +1769,8 @@ def rare_event_regulation_yield(
             max_samples=max_instances,
             chunk_size=chunk_size,
         )
-        interval = vanilla.intervals["failure"]
-        return RareEventYieldResult(
-            estimator=estimator,
-            failure_probability=vanilla.estimates["failure"],
-            lower=interval.lower,
-            upper=interval.upper,
-            confidence=confidence,
-            precision=precision,
-            samples=vanilla.trials,
-            max_samples=max_instances,
-            chunk_size=chunk_size,
-            stop_reason=vanilla.stop_reason,
-            dip_limit_v=dip_limit_v,
-            mean_dip_v=vanilla.moments["dip_v"].mean,
-        )
-
-    if estimator == "importance":
+        mean_dip_v = run.moments["dip_v"].mean
+    elif estimator == "importance":
         resolved_tilt = tilt or ComponentTilt()
 
         def draw_tilted(first_instance: int, count: int) -> WeightedSampleChunk:
@@ -1787,7 +1784,7 @@ def rare_event_regulation_yield(
                 values={"dip_v": dips},
             )
 
-        weighted = importance_sample(
+        run = importance_sample(
             draw_tilted,
             primary="failure",
             precision=precision,
@@ -1796,68 +1793,40 @@ def rare_event_regulation_yield(
             chunk_size=chunk_size,
             min_ess=min_ess,
         )
-        interval = weighted.intervals["failure"]
-        return RareEventYieldResult(
-            estimator=estimator,
-            failure_probability=weighted.estimates["failure"],
-            lower=interval.lower,
-            upper=interval.upper,
-            confidence=confidence,
+        mean_dip_v = run.value_moments["dip_v"].mean
+        effective_sample_size = run.effective_sample_size
+    else:
+        resolved_strat = stratification or ComponentStratification()
+        weights = resolved_strat.weights()
+        names = resolved_strat.names()
+
+        def stratum_draw(index: int) -> "Callable[[int, int], SampleChunk]":
+            def draw_stratum(first_instance: int, count: int) -> SampleChunk:
+                parameters = resolved_variation.sample_instances_stratum(
+                    nominal,
+                    count,
+                    index,
+                    first_instance=first_instance,
+                    stratification=resolved_strat,
+                )
+                fails, dips = simulate(parameters, count)
+                return SampleChunk(passes={"failure": fails}, values={"dip_v": dips})
+
+            return draw_stratum
+
+        run = stratified_sample(
+            tuple(
+                Stratum(name=names[h], weight=weights[h], draw=stratum_draw(h))
+                for h in range(resolved_strat.num_strata)
+            ),
+            primary="failure",
             precision=precision,
-            samples=weighted.trials,
+            confidence=confidence,
             max_samples=max_instances,
             chunk_size=chunk_size,
-            stop_reason=weighted.stop_reason,
-            dip_limit_v=dip_limit_v,
-            mean_dip_v=weighted.value_moments["dip_v"].mean,
-            effective_sample_size=weighted.effective_sample_size,
         )
-
-    resolved_strat = stratification or ComponentStratification()
-    weights = resolved_strat.weights()
-    names = resolved_strat.names()
-
-    def stratum_draw(index: int) -> "Callable[[int, int], SampleChunk]":
-        def draw_stratum(first_instance: int, count: int) -> SampleChunk:
-            parameters = resolved_variation.sample_instances_stratum(
-                nominal,
-                count,
-                index,
-                first_instance=first_instance,
-                stratification=resolved_strat,
-            )
-            fails, dips = simulate(parameters, count)
-            return SampleChunk(passes={"failure": fails}, values={"dip_v": dips})
-
-        return draw_stratum
-
-    strata = tuple(
-        Stratum(name=names[h], weight=weights[h], draw=stratum_draw(h))
-        for h in range(resolved_strat.num_strata)
-    )
-    stratified = stratified_sample(
-        strata,
-        primary="failure",
-        precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-    )
-    interval = stratified.intervals["failure"]
-    return RareEventYieldResult(
-        estimator=estimator,
-        failure_probability=stratified.estimates["failure"],
-        lower=interval.lower,
-        upper=interval.upper,
-        confidence=confidence,
-        precision=precision,
-        samples=stratified.trials,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-        stop_reason=stratified.stop_reason,
-        dip_limit_v=dip_limit_v,
-        mean_dip_v=stratified.value_means["dip_v"],
-        strata=tuple(
+        mean_dip_v = run.value_means["dip_v"]
+        strata_rows = tuple(
             {
                 "name": row.name,
                 "weight": row.weight,
@@ -1865,8 +1834,23 @@ def rare_event_regulation_yield(
                 "failures": row.successes.get("failure", 0),
                 "failure_rate": row.estimate("failure"),
             }
-            for row in stratified.strata
-        ),
+            for row in run.strata
+        )
+    return RareEventYieldResult(
+        estimator=estimator,
+        failure_probability=run.estimate,
+        lower=run.interval.lower,
+        upper=run.interval.upper,
+        confidence=confidence,
+        precision=precision,
+        samples=run.trials,
+        max_samples=max_instances,
+        chunk_size=chunk_size,
+        stop_reason=run.stop_reason,
+        dip_limit_v=dip_limit_v,
+        mean_dip_v=mean_dip_v,
+        effective_sample_size=effective_sample_size,
+        strata=strata_rows,
     )
 
 

@@ -24,6 +24,16 @@ lines or buck converters:
   function with ``(first_instance, count)`` coordinates, folds the
   returned :class:`SampleChunk` into the running statistics, and stops on
   precision or on the cap, reporting an :class:`AdaptiveSampleResult`.
+* :func:`importance_sample` / :func:`stratified_sample` -- the rare-event
+  siblings: tilted draws reweighted by their likelihood ratios, and
+  caller-declared strata allocated by Neyman's rule.
+
+All three samplers are front ends over one private chunk loop, which owns
+the shared configuration checks, the chunk contract (primary statistic
+present, statistic sets fixed after the first chunk, one entry per
+instance), the trial and chunk counts and the stop test.  A front end
+only supplies its accumulator, which chunk to draw next, and its
+convergence rule.
 
 Chunked seeding is the caller's contract: the chunk function must derive
 instance ``i``'s randomness from a per-instance stream (e.g.
@@ -69,7 +79,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections.abc import Sequence
+from typing import Any, Callable, Mapping, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -427,6 +438,109 @@ class RunningMoments:
 
 
 # --------------------------------------------------------------------------
+# The one chunk loop behind every sampler.
+# --------------------------------------------------------------------------
+
+
+_C = TypeVar("_C", "SampleChunk", "WeightedSampleChunk")
+#: A chunk's checked per-instance arrays, by statistic name.
+_Arrays = dict[str, npt.NDArray[Any]]
+#: ``request(trials) -> (index into draws, first instance, count)``.
+_Request = Callable[[int], tuple[int, int, int]]
+
+
+def _check_config(
+    precision: float, max_samples: int, chunk_size: int, confidence: float
+) -> None:
+    """The configuration checks every sampler shares."""
+    if precision < 0:
+        raise ValueError(f"precision must be non-negative; got {precision}")
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1; got {max_samples}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
+
+
+def _per_instance(
+    label: str, data: npt.ArrayLike, dtype: npt.DTypeLike, count: int
+) -> npt.NDArray[Any]:
+    """``data`` as a ``(count,)`` array, or a ``ValueError`` naming ``label``."""
+    array = np.asarray(data, dtype=dtype)
+    if array.shape != (count,):
+        raise ValueError(f"{label} has shape {array.shape}; expected ({count},)")
+    return array
+
+
+def _in_order(chunk_size: int, max_samples: int) -> _Request:
+    """One stream drawn front to back, the last chunk clipped to the cap."""
+    return lambda trials: (0, trials, min(chunk_size, max_samples - trials))
+
+
+def _run_chunks(
+    request: _Request,
+    draws: Sequence[Callable[[int, int], _C]],
+    fold: Callable[[int, _C, int, _Arrays, _Arrays], None],
+    converged: Callable[[int], bool],
+    *,
+    primary: str,
+    precision: float,
+    max_samples: int,
+) -> tuple[int, int, str]:
+    """Draw, check and fold chunks until the stop rule fires or the cap is spent.
+
+    Each sampler is a front end over this loop: ``request(trials)`` names
+    the next chunk as ``(index into draws, first instance, count)``, the
+    loop draws it and enforces the chunk contract -- the primary pass
+    statistic is present, the pass and value sets never change after the
+    first chunk, every array holds one entry per instance -- then hands
+    ``fold(index, chunk, count, passes, values)`` the checked arrays.  The
+    run stops with ``"precision"`` once ``precision > 0`` and
+    ``converged(trials)`` holds, else with ``"max_samples"`` at the cap.
+
+    Returns:
+        ``(trials, chunks, stop_reason)``.
+    """
+    names: tuple[set[str], set[str]] | None = None
+    trials = chunks = 0
+    while trials < max_samples:
+        index, first_instance, count = request(trials)
+        chunk = draws[index](first_instance, count)
+        if primary not in chunk.passes:
+            raise ValueError(
+                f"chunk has no primary pass statistic {primary!r}; "
+                f"got {sorted(chunk.passes)}"
+            )
+        if names is None:
+            names = (set(chunk.passes), set(chunk.values))
+        elif set(chunk.passes) != names[0]:
+            raise ValueError(
+                f"chunk pass statistics changed mid-run: "
+                f"{sorted(chunk.passes)} vs {sorted(names[0])}"
+            )
+        elif set(chunk.values) != names[1]:
+            raise ValueError(
+                f"chunk value streams changed mid-run: "
+                f"{sorted(chunk.values)} vs {sorted(names[1])}"
+            )
+        passes = {
+            name: _per_instance(f"pass statistic {name!r}", flags, bool, count)
+            for name, flags in chunk.passes.items()
+        }
+        values = {
+            name: _per_instance(f"value stream {name!r}", stream, float, count)
+            for name, stream in chunk.values.items()
+        }
+        fold(index, chunk, count, passes, values)
+        trials += count
+        chunks += 1
+        if precision > 0.0 and converged(trials):
+            return trials, chunks, "precision"
+    return trials, chunks, "max_samples"
+
+
+# --------------------------------------------------------------------------
 # The adaptive sampling engine.
 # --------------------------------------------------------------------------
 
@@ -529,67 +643,38 @@ def adaptive_sample(
         an :class:`AdaptiveSampleResult`; ``result.trials`` is the spent
         sample budget, the quantity the adaptive engine exists to shrink.
     """
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1; got {max_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
-    if min_samples is None:
-        min_samples = min(chunk_size, max_samples)
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1; got {min_samples}")
+    _check_config(precision, max_samples, chunk_size, confidence)
+    floor = min(chunk_size, max_samples) if min_samples is None else min_samples
+    if floor < 1:
+        raise ValueError(f"min_samples must be >= 1; got {floor}")
     interval_of = interval_function(method)
-
     successes: dict[str, int] = {}
     moments: dict[str, RunningMoments] = {}
-    trials = 0
-    chunks = 0
-    stop_reason = "max_samples"
-    while trials < max_samples:
-        count = min(chunk_size, max_samples - trials)
-        chunk = draw(trials, count)
-        if primary not in chunk.passes:
-            raise ValueError(
-                f"chunk has no primary pass statistic {primary!r}; "
-                f"got {sorted(chunk.passes)}"
-            )
-        if chunks and set(chunk.passes) != set(successes):
-            raise ValueError(
-                f"chunk pass statistics changed mid-run: "
-                f"{sorted(chunk.passes)} vs {sorted(successes)}"
-            )
-        if chunks and set(chunk.values) != set(moments):
-            raise ValueError(
-                f"chunk value streams changed mid-run: "
-                f"{sorted(chunk.values)} vs {sorted(moments)}"
-            )
-        for name, flags in chunk.passes.items():
-            flags = np.asarray(flags, dtype=bool)
-            if flags.shape != (count,):
-                raise ValueError(
-                    f"pass statistic {name!r} has shape {flags.shape}; "
-                    f"expected ({count},)"
-                )
-            successes[name] = successes.get(name, 0) + int(flags.sum())
-        for name, stream in chunk.values.items():
-            stream = np.asarray(stream, dtype=float)
-            if stream.shape != (count,):
-                raise ValueError(
-                    f"value stream {name!r} has shape {stream.shape}; "
-                    f"expected ({count},)"
-                )
-            moments.setdefault(name, RunningMoments()).extend(stream)
-        trials += count
-        chunks += 1
-        if trials >= min_samples and precision > 0.0:
-            interval = interval_of(successes[primary], trials, confidence)
-            if interval.half_width <= precision:
-                stop_reason = "precision"
-                break
 
+    def fold(
+        index: int, chunk: SampleChunk, count: int, passes: _Arrays, values: _Arrays
+    ) -> None:
+        for name, flags in passes.items():
+            successes[name] = successes.get(name, 0) + int(flags.sum())
+        for name, stream in values.items():
+            moments.setdefault(name, RunningMoments()).extend(stream)
+
+    def converged(trials: int) -> bool:
+        return (
+            trials >= floor
+            and interval_of(successes[primary], trials, confidence).half_width
+            <= precision
+        )
+
+    trials, chunks, stop_reason = _run_chunks(
+        _in_order(chunk_size, max_samples),
+        (draw,),
+        fold,
+        converged,
+        primary=primary,
+        precision=precision,
+        max_samples=max_samples,
+    )
     return AdaptiveSampleResult(
         primary=primary,
         trials=trials,
@@ -890,83 +975,51 @@ def importance_sample(
         an :class:`ImportanceSampleResult`; ``result.trials`` is the spent
         (tilted) sample budget.
     """
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1; got {max_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
+    _check_config(precision, max_samples, chunk_size, confidence)
     if min_ess < 0:
         raise ValueError(f"min_ess must be non-negative; got {min_ess}")
-    if min_samples is None:
-        min_samples = min(chunk_size, max_samples)
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1; got {min_samples}")
-
+    floor = min(chunk_size, max_samples) if min_samples is None else min_samples
+    if floor < 1:
+        raise ValueError(f"min_samples must be >= 1; got {floor}")
     weighted: dict[str, WeightedRunningMoments] = {}
     value_moments: dict[str, WeightedRunningMoments] = {}
     log_weight_moments = RunningMoments()
-    trials = 0
-    chunks = 0
-    stop_reason = "max_samples"
-    while trials < max_samples:
-        count = min(chunk_size, max_samples - trials)
-        chunk = draw(trials, count)
-        if primary not in chunk.passes:
-            raise ValueError(
-                f"chunk has no primary pass statistic {primary!r}; "
-                f"got {sorted(chunk.passes)}"
-            )
-        if chunks and set(chunk.passes) != set(weighted):
-            raise ValueError(
-                f"chunk pass statistics changed mid-run: "
-                f"{sorted(chunk.passes)} vs {sorted(weighted)}"
-            )
-        if chunks and set(chunk.values) != set(value_moments):
-            raise ValueError(
-                f"chunk value streams changed mid-run: "
-                f"{sorted(chunk.values)} vs {sorted(value_moments)}"
-            )
-        log_weights = np.asarray(chunk.log_weights, dtype=float)
-        if log_weights.shape != (count,):
-            raise ValueError(
-                f"log_weights has shape {log_weights.shape}; expected ({count},)"
-            )
-        for name, flags in chunk.passes.items():
-            flags = np.asarray(flags, dtype=bool)
-            if flags.shape != (count,):
-                raise ValueError(
-                    f"pass statistic {name!r} has shape {flags.shape}; "
-                    f"expected ({count},)"
-                )
+
+    def fold(
+        index: int,
+        chunk: WeightedSampleChunk,
+        count: int,
+        passes: _Arrays,
+        values: _Arrays,
+    ) -> None:
+        log_weights = _per_instance("log_weights", chunk.log_weights, float, count)
+        for name, flags in passes.items():
             weighted.setdefault(name, WeightedRunningMoments()).extend(
                 flags.astype(float), log_weights
             )
-        for name, stream in chunk.values.items():
-            stream = np.asarray(stream, dtype=float)
-            if stream.shape != (count,):
-                raise ValueError(
-                    f"value stream {name!r} has shape {stream.shape}; "
-                    f"expected ({count},)"
-                )
+        for name, stream in values.items():
             value_moments.setdefault(name, WeightedRunningMoments()).extend(
                 stream, log_weights
             )
         log_weight_moments.extend(log_weights)
-        trials += count
-        chunks += 1
-        if trials >= min_samples and precision > 0.0:
-            stat = weighted[primary]
-            interval = stat.interval(confidence)
-            if (
-                interval.half_width <= precision
-                and stat.effective_sample_size() >= min_ess
-            ):
-                stop_reason = "precision"
-                break
 
+    def converged(trials: int) -> bool:
+        stat = weighted[primary]
+        return (
+            trials >= floor
+            and stat.interval(confidence).half_width <= precision
+            and stat.effective_sample_size() >= min_ess
+        )
+
+    trials, chunks, stop_reason = _run_chunks(
+        _in_order(chunk_size, max_samples),
+        (draw,),
+        fold,
+        converged,
+        primary=primary,
+        precision=precision,
+        max_samples=max_samples,
+    )
     return ImportanceSampleResult(
         primary=primary,
         trials=trials,
@@ -1145,128 +1198,57 @@ def stratified_sample(
         raise ValueError(
             f"stratum weights must sum to 1; got {total_weight!r}"
         )
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
+    _check_config(precision, max_samples, chunk_size, confidence)
     if max_samples < len(strata):
         raise ValueError(
             f"max_samples must cover at least one draw per stratum; "
             f"got {max_samples} for {len(strata)} strata"
         )
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
-    if min_samples_per_stratum is None:
-        min_samples_per_stratum = min(chunk_size, max_samples // len(strata))
-    if min_samples_per_stratum < 1:
-        raise ValueError(
-            f"min_samples_per_stratum must be >= 1; got {min_samples_per_stratum}"
-        )
+    floor = (
+        min(chunk_size, max_samples // len(strata))
+        if min_samples_per_stratum is None
+        else min_samples_per_stratum
+    )
+    if floor < 1:
+        raise ValueError(f"min_samples_per_stratum must be >= 1; got {floor}")
 
     z = normal_ppf(0.5 * (1.0 + confidence))
     trials_h = [0 for _ in strata]
     successes_h: list[dict[str, int]] = [{} for _ in strata]
     moments_h: list[dict[str, RunningMoments]] = [{} for _ in strata]
-    stat_names: set[str] | None = None
-    value_names: set[str] | None = None
-    trials = 0
-    chunks = 0
-    stop_reason = "max_samples"
 
-    def fold(index: int, count: int) -> None:
-        nonlocal trials, chunks, stat_names, value_names
-        chunk = strata[index].draw(trials_h[index], count)
-        if primary not in chunk.passes:
-            raise ValueError(
-                f"stratum {strata[index].name!r} chunk has no primary pass "
-                f"statistic {primary!r}; got {sorted(chunk.passes)}"
-            )
-        if stat_names is None:
-            stat_names = set(chunk.passes)
-            value_names = set(chunk.values)
-        elif set(chunk.passes) != stat_names or set(chunk.values) != value_names:
-            raise ValueError(
-                f"stratum {strata[index].name!r} changed the statistic set "
-                f"mid-run: {sorted(chunk.passes)} / {sorted(chunk.values)}"
-            )
-        for name, flags in chunk.passes.items():
-            flag_array = np.asarray(flags, dtype=bool)
-            if flag_array.shape != (count,):
-                raise ValueError(
-                    f"pass statistic {name!r} has shape {flag_array.shape}; "
-                    f"expected ({count},)"
-                )
-            bucket = successes_h[index]
-            bucket[name] = bucket.get(name, 0) + int(flag_array.sum())
-        for name, stream in chunk.values.items():
-            stream_array = np.asarray(stream, dtype=float)
-            if stream_array.shape != (count,):
-                raise ValueError(
-                    f"value stream {name!r} has shape {stream_array.shape}; "
-                    f"expected ({count},)"
-                )
-            moments_h[index].setdefault(name, RunningMoments()).extend(stream_array)
-        trials_h[index] += count
-        trials += count
-        chunks += 1
-
-    def primary_half_width() -> float:
-        variance = 0.0
-        for index, stratum in enumerate(strata):
-            if trials_h[index] == 0:
-                return math.inf
-            variance += (
-                stratum.weight
-                * stratum.weight
-                * _smoothed_stratum_variance(
-                    successes_h[index].get(primary, 0), trials_h[index]
-                )
-                / trials_h[index]
-            )
-        return z * math.sqrt(variance)
-
-    explored = False
-    while trials < max_samples:
+    def request(trials: int) -> tuple[int, int, int]:
         budget = max_samples - trials
-        if not explored:
-            index = min(range(len(strata)), key=lambda h: trials_h[h])
-            if trials_h[index] >= min_samples_per_stratum:
-                explored = True
-                continue
-            count = min(
-                chunk_size, budget, min_samples_per_stratum - trials_h[index]
+        index = min(range(len(strata)), key=lambda h: trials_h[h])
+        if trials_h[index] < floor:
+            # Exploration: top the emptiest stratum up toward the floor.
+            count = min(chunk_size, budget, floor - trials_h[index])
+            return index, trials_h[index], count
+        count = min(chunk_size, budget)
+
+        def variance_drop(h: int) -> float:
+            spread = _smoothed_stratum_variance(
+                successes_h[h].get(primary, 0), trials_h[h]
             )
-        else:
-            count = min(chunk_size, budget)
+            n = trials_h[h]
+            weight = strata[h].weight
+            return weight * weight * spread * (1.0 / n - 1.0 / (n + count))
 
-            def variance_drop(h: int) -> float:
-                spread = _smoothed_stratum_variance(
-                    successes_h[h].get(primary, 0), trials_h[h]
-                )
-                n = trials_h[h]
-                weight = strata[h].weight
-                return weight * weight * spread * (1.0 / n - 1.0 / (n + count))
+        index = max(range(len(strata)), key=variance_drop)
+        return index, trials_h[index], count
 
-            index = max(range(len(strata)), key=variance_drop)
-        fold(index, count)
-        if (
-            explored
-            and precision > 0.0
-            and min(trials_h) >= min_samples_per_stratum
-            and primary_half_width() <= precision
-        ):
-            stop_reason = "precision"
-            break
-        if not explored and min(trials_h) >= min_samples_per_stratum:
-            explored = True
-            if precision > 0.0 and primary_half_width() <= precision:
-                stop_reason = "precision"
-                break
+    def fold(
+        index: int, chunk: SampleChunk, count: int, passes: _Arrays, values: _Arrays
+    ) -> None:
+        bucket = successes_h[index]
+        for name, flags in passes.items():
+            bucket[name] = bucket.get(name, 0) + int(flags.sum())
+        for name, stream in values.items():
+            moments_h[index].setdefault(name, RunningMoments()).extend(stream)
+        trials_h[index] += count
 
-    resolved_stats = sorted(stat_names or {primary})
-    estimates: dict[str, float] = {}
-    intervals: dict[str, ConfidenceInterval] = {}
-    for name in resolved_stats:
+    def post_stratified(name: str) -> tuple[float, float]:
+        """Post-stratified estimate and interval half-width of one statistic."""
         estimate = 0.0
         variance = 0.0
         for index, stratum in enumerate(strata):
@@ -1275,31 +1257,48 @@ def stratified_sample(
                     f"stratum {stratum.name!r} received no samples; "
                     "raise max_samples"
                 )
-            estimate += (
-                stratum.weight * successes_h[index].get(name, 0) / trials_h[index]
-            )
+            successes = successes_h[index].get(name, 0)
+            estimate += stratum.weight * successes / trials_h[index]
             variance += (
                 stratum.weight
                 * stratum.weight
-                * _smoothed_stratum_variance(
-                    successes_h[index].get(name, 0), trials_h[index]
-                )
+                * _smoothed_stratum_variance(successes, trials_h[index])
                 / trials_h[index]
             )
-        half_width = z * math.sqrt(variance)
+        return estimate, z * math.sqrt(variance)
+
+    def converged(trials: int) -> bool:
+        return min(trials_h) >= floor and post_stratified(primary)[1] <= precision
+
+    trials, chunks, stop_reason = _run_chunks(
+        request,
+        [stratum.draw for stratum in strata],
+        fold,
+        converged,
+        primary=primary,
+        precision=precision,
+        max_samples=max_samples,
+    )
+
+    # Exploration draws every stratum and the loop fixes the statistic
+    # sets, so stratum 0's accumulators name every statistic of the run.
+    estimates: dict[str, float] = {}
+    intervals: dict[str, ConfidenceInterval] = {}
+    for name in sorted(successes_h[0]):
+        estimate, half_width = post_stratified(name)
         estimates[name] = estimate
         intervals[name] = ConfidenceInterval(
             lower=max(0.0, estimate - half_width),
             upper=min(1.0, estimate + half_width),
             confidence=confidence,
         )
-
-    value_means: dict[str, float] = {}
-    for name in sorted(value_names or set()):
-        value_means[name] = sum(
+    value_means = {
+        name: sum(
             stratum.weight * moments_h[index][name].mean
             for index, stratum in enumerate(strata)
         )
+        for name in sorted(moments_h[0])
+    }
 
     return StratifiedSampleResult(
         primary=primary,

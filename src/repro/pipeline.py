@@ -71,14 +71,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.converter.adc import WindowedADC
 from repro.converter.buck import BuckParameters
-from repro.converter.load import LoadProfile, ReferenceProfile, SourceProfile
+from repro.converter.load import LoadProfile
 from repro.converter.missions import (
     MissionGenerator,
     MissionProfile,
@@ -105,7 +103,6 @@ from repro.kernels import KernelBackend, get_backend
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
-    BatchCompensator,
     BatchQuantizer,
     BatchRegulationResult,
 )
@@ -122,6 +119,17 @@ __all__ = [
     "closed_loop_cell",
     "fabricate_ensemble",
 ]
+
+
+#: The per-period histories of a :class:`BatchRegulationResult`.
+_HISTORY_FIELDS = (
+    "output_voltages_v",
+    "inductor_currents_a",
+    "duty_words",
+    "duty_fractions",
+    "error_codes",
+    "load_resistances_ohm",
+)
 
 
 class ChunkedFabricator:
@@ -340,11 +348,6 @@ class SiliconToRegulationPipeline:
         reference_v: float = 0.9,
         component_variation: ComponentVariation | None = None,
         load: LoadProfile | None = None,
-        loads: Sequence[LoadProfile] | None = None,
-        adc: WindowedADC | None = None,
-        compensator: BatchCompensator | None = None,
-        reference_profile: ReferenceProfile | None = None,
-        source_profile: SourceProfile | None = None,
         library: TechnologyLibrary | None = None,
         first_instance: int = 0,
         backend: str | KernelBackend | None = None,
@@ -365,8 +368,8 @@ class SiliconToRegulationPipeline:
             reference_v: regulation target.
             component_variation: optional per-chip spread of the electrical
                 components (L, C, parasitics, input rail).
-            load / loads / adc / compensator / reference_profile /
-                source_profile: forwarded to :class:`BatchClosedLoop`.
+            load: load profile shared by the fleet (forwarded to
+                :class:`BatchClosedLoop`).
             library: technology library shared by design and calibration.
             first_instance: index of the first fabricated instance (for
                 sharding one Monte-Carlo population across runs).
@@ -403,32 +406,21 @@ class SiliconToRegulationPipeline:
                 nominal, num_instances
             )
         self.reference_v = reference_v
-        self._loop_kwargs: dict[str, Any] = dict(
-            adc=adc,
-            compensator=compensator,
-            load=load,
-            loads=loads,
-            reference_profile=reference_profile,
-            source_profile=source_profile,
-        )
+        self.load = load
 
     @property
     def num_instances(self) -> int:
         return self.ensemble.num_instances
 
-    def build_loop(self) -> BatchClosedLoop:
-        """A fresh fleet closed around the fabricated DPWMs."""
-        return BatchClosedLoop(
+    def run(self, periods: int = 300) -> PipelineResult:
+        """Advance a fresh fleet and bundle all stages into one result."""
+        regulation = BatchClosedLoop(
             self.parameters,
             self.quantizer,
             reference_v=self.reference_v,
+            load=self.load,
             backend=self.kernels,
-            **self._loop_kwargs,
-        )
-
-    def run(self, periods: int = 300) -> PipelineResult:
-        """Advance a fresh fleet and bundle all stages into one result."""
-        regulation = self.build_loop().run(periods)
+        ).run(periods)
         return PipelineResult(
             scheme=self.scheme,
             reference_v=self.reference_v,
@@ -518,35 +510,15 @@ class ChunkedSiliconToRegulation:
         """
         if thermal is not None and temperature_trace is None:
             raise ValueError("thermal derating requires a temperature_trace")
-        if missions is None and temperature_trace is None:
-            ensemble = self.fabricator.fabricate(
-                num_instances, first_instance=first_instance
-            )
-            calibration = ensemble.lock(self.conditions)
-            curves = ensemble.transfer_curves(
-                self.conditions, calibration=calibration
-            )
-            quantizer = BatchQuantizer.from_ensemble(curves)
-            parameters = self._chunk_parameters(num_instances, first_instance)
-            loop = BatchClosedLoop(
-                parameters,
-                quantizer,
-                reference_v=self.reference_v,
-                load=self.load,
-                backend=self.kernels,
-            )
-            return PipelineResult(
-                scheme=ensemble.scheme,
-                reference_v=self.reference_v,
-                calibration=calibration,
-                curves=curves,
-                regulation=loop.run(periods),
-            )
-        return self._run_chunk_mission(
-            first_instance,
-            num_instances,
+        return self._regulate(
+            self.fabricator.fabricate(num_instances, first_instance=first_instance),
+            self._chunk_parameters(num_instances, first_instance),
             periods,
-            missions=missions,
+            missions=(
+                resolve_missions(missions, num_instances, first_instance)
+                if missions is not None
+                else None
+            ),
             temperature_trace=temperature_trace,
             thermal=thermal,
         )
@@ -564,134 +536,92 @@ class ChunkedSiliconToRegulation:
             correlation=self.correlation,
         )
 
-    def _run_chunk_mission(
+    def _regulate(
         self,
-        first_instance: int,
-        num_instances: int,
+        ensemble: DelayLineEnsemble,
+        parameters: BatchBuckParameters,
         periods: int,
         *,
-        missions: MissionGenerator | Sequence[MissionProfile] | None,
-        temperature_trace: TemperatureTrace | None,
-        thermal: ThermalDerating | None,
+        missions: Sequence[MissionProfile] | None = None,
+        temperature_trace: TemperatureTrace | None = None,
+        thermal: ThermalDerating | None = None,
     ) -> PipelineResult:
-        """Mission / temperature-drift run: epoch-split with state carry-over.
+        """Lock, convert and regulate a fabricated chunk, epoch by epoch.
 
         The run is cut at the temperature trace's epoch boundaries (one
         isothermal epoch when no trace is given).  Within each epoch the
-        fleet advances under per-instance loads shifted to the epoch's
-        start (:meth:`OffsetLoad.wrap <repro.converter.missions.OffsetLoad
-        .wrap>`), so the concatenated history is the same sequence of load
-        resistances -- and, with the compensator object and the converter
-        state carried across the boundary, the same closed-loop trajectory
-        -- as an unsplit run.
+        ensemble is locked at the epoch's temperature and the fleet
+        advances under loads shifted to the epoch's start
+        (:meth:`OffsetLoad.wrap <repro.converter.missions.OffsetLoad.wrap>`,
+        which returns the load itself at offset zero), so the concatenated
+        history is the same sequence of load resistances -- and, with the
+        compensator object and the converter state carried across the
+        boundary, the same closed-loop trajectory -- as an unsplit run.
+        The single-epoch run is the plain chunk.
         """
-        ensemble = self.fabricator.fabricate(
-            num_instances, first_instance=first_instance
+        epochs: list[tuple[int, int, float | None]] = (
+            list(temperature_trace.epochs(periods))
+            if temperature_trace is not None
+            else [(0, periods, None)]
         )
-        base_parameters = self._chunk_parameters(num_instances, first_instance)
-        mission_list = (
-            resolve_missions(missions, num_instances, first_instance)
-            if missions is not None
-            else None
-        )
-        if temperature_trace is not None:
-            epochs: list[tuple[int, int, float | None]] = [
-                (start, end, temperature)
-                for start, end, temperature in temperature_trace.epochs(periods)
-            ]
-            derating = thermal or ThermalDerating()
-        else:
-            epochs = [(0, periods, None)]
-            derating = None
-
-        calibration: EnsembleCalibration | None = None
-        curves: EnsembleTransferCurves | None = None
+        first_lock: tuple[EnsembleCalibration, EnsembleTransferCurves] | None = None
         pieces: list[BatchRegulationResult] = []
-        compensator: BatchCompensator | None = None
-        carried_voltage: npt.NDArray[np.float64] | None = None
-        carried_current: npt.NDArray[np.float64] | None = None
+        loop: BatchClosedLoop | None = None
         for start, end, temperature in epochs:
-            conditions = (
-                self.conditions.with_temperature(temperature)
-                if temperature is not None
-                else self.conditions
-            )
-            epoch_calibration = ensemble.lock(conditions)
-            epoch_curves = ensemble.transfer_curves(
-                conditions, calibration=epoch_calibration
-            )
-            quantizer = BatchQuantizer.from_ensemble(epoch_curves)
-            if calibration is None or curves is None:
-                calibration = epoch_calibration
-                curves = epoch_curves
-            parameters = (
-                derating.derate(base_parameters, temperature)
-                if derating is not None and temperature is not None
-                else base_parameters
-            )
-            if mission_list is not None:
-                loop = BatchClosedLoop(
-                    parameters,
-                    quantizer,
-                    reference_v=self.reference_v,
-                    compensator=compensator,
-                    loads=[
-                        OffsetLoad.wrap(mission, start)
-                        for mission in mission_list
-                    ],
-                    start_at_reference=compensator is None,
-                    backend=self.kernels,
+            conditions = self.conditions
+            epoch_parameters = parameters
+            if temperature is not None:
+                conditions = conditions.with_temperature(temperature)
+                epoch_parameters = (thermal or ThermalDerating()).derate(
+                    parameters, temperature
                 )
-            else:
-                loop = BatchClosedLoop(
-                    parameters,
-                    quantizer,
-                    reference_v=self.reference_v,
-                    compensator=compensator,
-                    load=(
-                        OffsetLoad.wrap(self.load, start)
-                        if self.load is not None
-                        else None
-                    ),
-                    start_at_reference=compensator is None,
-                    backend=self.kernels,
-                )
-            if carried_voltage is not None and carried_current is not None:
-                loop.output_voltage_v = carried_voltage
-                loop.inductor_current_a = carried_current
+            calibration = ensemble.lock(conditions)
+            curves = ensemble.transfer_curves(conditions, calibration=calibration)
+            if first_lock is None:
+                first_lock = (calibration, curves)
+            loads = (
+                None
+                if missions is None
+                else [OffsetLoad.wrap(mission, start) for mission in missions]
+            )
+            previous = loop
+            loop = BatchClosedLoop(
+                epoch_parameters,
+                BatchQuantizer.from_ensemble(curves),
+                reference_v=self.reference_v,
+                compensator=None if previous is None else previous.compensator,
+                load=(
+                    OffsetLoad.wrap(self.load, start)
+                    if loads is None and self.load is not None
+                    else None
+                ),
+                loads=loads,
+                start_at_reference=previous is None,
+                backend=self.kernels,
+            )
+            if previous is not None:
+                loop.output_voltage_v = previous.output_voltage_v.copy()
+                loop.inductor_current_a = previous.inductor_current_a.copy()
             pieces.append(loop.run(end - start))
-            compensator = loop.compensator
-            carried_voltage = loop.output_voltage_v.copy()
-            carried_current = loop.inductor_current_a.copy()
 
-        if calibration is None or curves is None:  # pragma: no cover
+        if first_lock is None:  # pragma: no cover
             raise RuntimeError("temperature trace produced no epochs")
-        regulation = BatchRegulationResult(
-            switching_period_s=pieces[0].switching_period_s,
-            output_voltages_v=np.concatenate(
-                [piece.output_voltages_v for piece in pieces], axis=0
-            ),
-            inductor_currents_a=np.concatenate(
-                [piece.inductor_currents_a for piece in pieces], axis=0
-            ),
-            duty_words=np.concatenate(
-                [piece.duty_words for piece in pieces], axis=0
-            ),
-            duty_fractions=np.concatenate(
-                [piece.duty_fractions for piece in pieces], axis=0
-            ),
-            error_codes=np.concatenate(
-                [piece.error_codes for piece in pieces], axis=0
-            ),
-            load_resistances_ohm=np.concatenate(
-                [piece.load_resistances_ohm for piece in pieces], axis=0
-            ),
-        )
+        regulation = pieces[0]
+        if len(pieces) > 1:
+            regulation = BatchRegulationResult(
+                switching_period_s=regulation.switching_period_s,
+                **{
+                    name: np.concatenate(
+                        [getattr(piece, name) for piece in pieces], axis=0
+                    )
+                    for name in _HISTORY_FIELDS
+                },
+            )
         return PipelineResult(
             scheme=ensemble.scheme,
             reference_v=self.reference_v,
-            calibration=calibration,
-            curves=curves,
+            calibration=first_lock[0],
+            curves=first_lock[1],
             regulation=regulation,
         )
 
@@ -716,7 +646,11 @@ class ChunkedSiliconToRegulation:
         Feed the ratios to :func:`repro.mc.importance_sample` alongside
         whatever pass flags the caller scores on the
         :class:`PipelineResult`.  All-identity tilts reproduce
-        :meth:`run_chunk` bit for bit with zero log-weights.
+        :meth:`run_chunk` bit for bit with zero log-weights, including
+        under the runner's component ``correlation``.  A ``component_tilt``
+        combined with a non-identity ``correlation`` raises
+        :class:`ValueError`: the tilt's log-likelihood ratio assumes
+        independent component draws.
         """
         log_weights = np.zeros(num_instances)
         silicon_identity = math.isclose(silicon_shift, 0.0) and math.isclose(
@@ -734,18 +668,14 @@ class ChunkedSiliconToRegulation:
                 sigma_scale=silicon_sigma_scale,
             )
             log_weights += silicon_lw
-        calibration = ensemble.lock(self.conditions)
-        curves = ensemble.transfer_curves(self.conditions, calibration=calibration)
-        quantizer = BatchQuantizer.from_ensemble(curves)
-        if self.component_variation is None:
-            if component_tilt is not None:
-                raise ValueError(
-                    "component_tilt requires a component_variation model"
-                )
-            parameters = BatchBuckParameters.uniform(self.nominal, num_instances)
-        elif component_tilt is None:
-            parameters = self.component_variation.sample_instances(
-                self.nominal, num_instances, first_instance=first_instance
+        if component_tilt is None:
+            parameters = self._chunk_parameters(num_instances, first_instance)
+        elif self.component_variation is None:
+            raise ValueError("component_tilt requires a component_variation model")
+        elif self.correlation is not None and not self.correlation.is_identity():
+            raise ValueError(
+                "component_tilt assumes independent component draws; it "
+                "cannot be combined with a non-identity correlation"
             )
         else:
             parameters, component_lw = (
@@ -757,23 +687,7 @@ class ChunkedSiliconToRegulation:
                 )
             )
             log_weights += component_lw
-        loop = BatchClosedLoop(
-            parameters,
-            quantizer,
-            reference_v=self.reference_v,
-            load=self.load,
-            backend=self.kernels,
-        )
-        return (
-            PipelineResult(
-                scheme=ensemble.scheme,
-                reference_v=self.reference_v,
-                calibration=calibration,
-                curves=curves,
-                regulation=loop.run(periods),
-            ),
-            log_weights,
-        )
+        return self._regulate(ensemble, parameters, periods), log_weights
 
 
 def closed_loop_cell(
